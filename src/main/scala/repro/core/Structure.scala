@@ -49,15 +49,6 @@ object Structure {
     */
   def ofTransformation(lhs: String, rhs: String): String = of(lhs) + Sep + of(rhs)
 
-  /** Whether two structure keys are "symmetric" (Section 5): the LHS structure
-    * of one equals the RHS structure of the other and vice versa.
-    */
-  def symmetric(key1: String, key2: String): Boolean = {
-    val Array(a1, b1) = splitKey(key1)
-    val Array(a2, b2) = splitKey(key2)
-    a1 == b2 && b1 == a2
-  }
-
   /** The symmetric counterpart of a transformation structure key. */
   def swap(key: String): String = {
     val Array(a, b) = splitKey(key)

@@ -21,19 +21,6 @@ final case class GraphConfig(
 final case class TGraph(id: Int, s: String, t: String,
                         edges: Map[(Int, Int), Vector[Label]]) {
   def lastNode: Int = t.length + 1
-
-  /** Adjacency list: node -> (target, labels), farthest target first
-    * (reaching the last node early sets the pruning thresholds sooner —
-    * Section 4.4's observation).
-    */
-  lazy val adjacency: Map[Int, Vector[(Int, Vector[Label])]] =
-    edges.toVector
-      .groupBy(_._1._1)
-      .view.mapValues(_.map { case ((_, j), ls) => (j, ls) }.sortBy(-_._1))
-      .toMap
-
-  def outEdges(i: Int): Vector[(Int, Vector[Label])] =
-    adjacency.getOrElse(i, Vector.empty)
 }
 
 object GraphBuilder {

@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.core.lang.{PathCheck, PivotConfig}
+import repro.core.lang.{PathCheck, Pivot, PivotConfig}
+import repro.data.ConsolidationGen
 
 class GroupingSpec extends SparkSpec {
 
@@ -60,15 +61,6 @@ class GroupingSpec extends SparkSpec {
     assert(gs.size <= both.size)
   }
 
-  test("path serialization round-trips") {
-    val gs = Grouping.group(spark, Vector(Trans("Street", "St"), Trans("Avenue", "Ave")),
-      BothAgg, cfg)
-    for (g <- gs) {
-      val ser = Grouping.serializePath(g.path.get)
-      assert(Grouping.deserializePath(ser) == g.path.get)
-    }
-  }
-
   test("rank orders by aggregate frequency, descending") {
     def rule(a: String, b: String, n: Int): (RuleKey, MatchingRule) = {
       val k = RuleKey.of(a, b)
@@ -86,8 +78,39 @@ class GroupingSpec extends SparkSpec {
   }
 
   test("BothAgg is deterministic across runs") {
-    val a = Grouping.group(spark, pool, BothAgg, cfg).map(g => (g.id, g.members))
-    val b = Grouping.group(spark, pool.reverse, BothAgg, cfg).map(g => (g.id, g.members))
-    assert(a == b)
+    // covers TransAgg too, and neither input order nor the session's shuffle
+    // partition count may change the groups
+    val key  = "spark.sql.shuffle.partitions"
+    val prev = spark.conf.get(key)
+    try {
+      for (m <- Seq(BothAgg, TransAgg)) {
+        val runs = for (parts <- Seq("1", "64"); input <- Seq(pool, pool.reverse)) yield {
+          spark.conf.set(key, parts)
+          Grouping.group(spark, input, m, cfg).map(g => (g.id, g.path, g.members))
+        }
+        assert(runs.distinct.size == 1, s"$m")
+      }
+    } finally spark.conf.set(key, prev)
+  }
+
+  /** The groups of `Pivot.groupByPrograms` run per pool on the driver. */
+  private def reference(trans: Seq[Trans], byStructure: Boolean): Vector[RuleGroup] = {
+    val freq  = Pivot.constTermFreq(trans.map(_.lhs), cfg.graph.maxConstTermLen)
+    val pools = if (byStructure) trans.groupBy(_.structKey).toVector else Vector("" -> trans)
+    pools.flatMap { case (key, ts) =>
+      Pivot.groupByPrograms(ts, cfg, freq).map { g =>
+        RuleGroup(s"prog:${key.length}:$key:${g.pathKey}", Option.when(byStructure)(key),
+          Some(g.path), g.members.sortBy(tr => (tr.lhs, tr.rhs)))
+      }
+    }
+  }
+
+  test("pivot grouping equals the per-pool driver reference, ids included") {
+    val addr  = ConsolidationGen.address(spark, 0.01)
+    val trans = Selection.select(RuleGen.generate(spark, addr, true).keys.toSeq, BestDir, 42)
+    assert(trans.nonEmpty)
+    for (input <- Seq(pool, trans); (m, byStructure) <- Seq(BothAgg -> true, TransAgg -> false))
+      assert(Grouping.group(spark, input, m, cfg).sortBy(_.id) ==
+        reference(input, byStructure).sortBy(_.id), s"$m")
   }
 }

@@ -81,11 +81,6 @@ class GraphSpec extends AnyFunSuite {
     assert(g.edges.values.forall(_.size <= 3))
   }
 
-  test("adjacency lists sorted farthest-first") {
-    val g = GraphBuilder.build(0, "Street", "St", cfg)
-    assert(g.outEdges(1).map(_._1) == Vector(3, 2))
-  }
-
   test("position functions: constant-term ranking keeps the top-scored term") {
     val score: String => Double = { case "Dr." => 5.0; case _ => 0.0 }
     val pf = GraphBuilder.positionFunctions("Dr. Dewitt", GraphConfig(), score)
