@@ -39,14 +39,10 @@ object Applier {
     }
 
     def currentRules(): Vector[MatchingRule] = {
-      val vs  = state.values.toVector.distinct.sorted
-      val acc = mutable.HashMap.empty[RuleKey, MatchingRule]
-      for (i <- vs.indices; j <- (i + 1) until vs.length; r <- pairRules(vs(i), vs(j)))
-        acc.updateWith(r.key) {
-          case Some(prev) => Some(prev.merge(r))
-          case None       => Some(r)
-        }
-      acc.values.toVector.sortBy(r => (r.key.a, r.key.b))
+      val vs = state.values.toVector.distinct.sorted
+      val rules = vs.indices.iterator.flatMap(i =>
+        (i + 1 until vs.length).iterator.flatMap(j => pairRules(vs(i), vs(j))))
+      Rules.mergeCatalog(rules).values.toVector.sortBy(r => (r.key.a, r.key.b))
     }
 
     // Adoption decisions are stable for a given (rule, decision) pair.

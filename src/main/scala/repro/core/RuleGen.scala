@@ -32,19 +32,12 @@ object RuleGen {
       }
       .collect()
 
-    val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
-    for (row <- rows) {
+    Rules.mergeCatalog(rows.iterator.map { row =>
       val key = RuleKey(row.a, row.b)
       val occ = Occ(row.cluster, row.value, row.p, row.q)
-      val add =
-        if (row.sideA) MatchingRule(key, Set(occ), Set.empty)
-        else MatchingRule(key, Set.empty, Set(occ))
-      acc.updateWith(key) {
-        case Some(prev) => Some(prev.merge(add))
-        case None       => Some(add)
-      }
-    }
-    acc.toMap
+      if (row.sideA) MatchingRule(key, Set(occ), Set.empty)
+      else MatchingRule(key, Set.empty, Set(occ))
+    }).toMap
   }
 
   /** Number of distinct within-cluster value pairs (the "distinct duplicate

@@ -77,26 +77,20 @@ object Rules {
   def clusterRules(cluster: Long, values: Seq[String],
                    includeFullValue: Boolean = true): Map[RuleKey, MatchingRule] = {
     val vs = values.distinct.sorted
-    val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
-    for {
-      i <- vs.indices
-      j <- (i + 1) until vs.length
-      r <- pairRules(cluster, vs(i), vs(j), includeFullValue)
-    } acc.updateWith(r.key) {
-      case Some(prev) => Some(prev.merge(r))
-      case None       => Some(r)
-    }
-    acc.toMap
+    mergeCatalog(vs.indices.iterator.flatMap(i =>
+      (i + 1 until vs.length).iterator.flatMap(j => pairRules(cluster, vs(i), vs(j), includeFullValue)))).toMap
   }
 
-  /** Merge per-cluster rule maps into one catalog. */
-  def mergeCatalog(maps: IterableOnce[Map[RuleKey, MatchingRule]]): Map[RuleKey, MatchingRule] = {
+  /** Merge rules by key, in the given order: a key's replacement sets are the
+    * unions of its rules' sets. Callers that keep the catalog take `.toMap`.
+    */
+  def mergeCatalog(rules: IterableOnce[MatchingRule]): collection.Map[RuleKey, MatchingRule] = {
     val acc = scala.collection.mutable.HashMap.empty[RuleKey, MatchingRule]
-    for (m <- maps.iterator; (k, r) <- m) acc.updateWith(k) {
+    for (r <- rules.iterator) acc.updateWith(r.key) {
       case Some(prev) => Some(prev.merge(r))
       case None       => Some(r)
     }
-    acc.toMap
+    acc
   }
 
   private def occOf(cluster: Long, v: String, toks: Vector[Token], from: Int, to: Int): Occ =

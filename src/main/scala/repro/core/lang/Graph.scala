@@ -8,11 +8,15 @@ import scala.collection.mutable
   */
 final case class GraphConfig(
     affix: Boolean = true,
-    maxSideLen: Int = 30,
     maxPosFnsPerPosition: Int = 8,
     maxLabelsPerEdge: Int = 12,
-    maxConstTermLen: Int = 6,
-) extends Serializable
+) extends Serializable {
+  /** Sides longer than this get a degenerate graph, which keeps node ids
+    * ≤ 31 for the pivot search's Long bitmasks.
+    */
+  val maxSideLen: Int = 30
+  val maxConstTermLen: Int = 6
+}
 
 /** Transformation graph of `s → t` (Definition 4): nodes 1..|t|+1, an edge
   * `(i, j)` for every substring `t[i, j)`, labeled with the string functions

@@ -1,6 +1,7 @@
 package repro.core.lang
 
 import repro.core.Trans
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** Configuration of the pivot-path search (Sections 4.2–4.4).
@@ -17,7 +18,6 @@ final case class PivotConfig(
       * random sample of Σ instead of all of it. 0 disables sampling.
       */
     sampleCap: Int = 96,
-    sampleSeed: Long = 97,
     /** Hard cap on (edge, label) expansions per graph search — the same
       * "control its runtime in a reasonable manner" role as θ (Section 4.3),
       * needed because our substrate is JVM-based, not the paper's C++.
@@ -33,10 +33,14 @@ final case class ProgGroup(pathKey: String, path: Vector[Label], members: Vector
   * path — the transformation path of its graph contained by the most graphs
   * in the pool Σ — then group transformations with equal pivot paths.
   *
-  * Implementation notes: node ids are ≤ maxSideLen + 1 ≤ 64, so the set of
-  * reachable nodes per graph is a Long bitmask; the inverted index stores,
-  * per label and graph, the packed edges `(i << 8) | j` (Section 4.2's
-  * ⟨G, i, j⟩ triples). The local/global thresholds are Section 4.3 verbatim.
+  * Implementation notes: each pool interns its labels to dense `Int` ids
+  * once; the search runs on ids and maps them back to labels only to record
+  * a path. I[f] holds, per id, the ascending ids of the graphs containing f
+  * and, per graph, the sorted packed edges `(i << 8) | j` (Section 4.2's
+  * ⟨G, i, j⟩ triples). Labels with equal postings extend every partial path
+  * alike, so only the static-order first of each such alias set is expanded.
+  * Node ids are ≤ maxSideLen + 1 = 31, so the set of reachable nodes per
+  * graph is a Long bitmask. The local/global thresholds are Section 4.3.
   */
 object Pivot {
 
@@ -63,6 +67,12 @@ object Pivot {
       else g / math.sqrt(math.max(1, globalFreq.getOrElse(sub, g)).toDouble)
   }
 
+  private val SampleSeed = 97L // of the Appendix-B sample
+
+  /** Pivot when no path is shared: the empty program, or the ConstantStr(t) edge. */
+  private def fallbackPath(rhs: String): Vector[Label] =
+    if (rhs.isEmpty) Vector.empty else Vector(ConstantStr(rhs))
+
   /** Group a pool Σ of transformations by pivot paths. Deterministic in the
     * input (the pool is sorted internally).
     */
@@ -72,25 +82,23 @@ object Pivot {
     if (sorted.isEmpty) return Vector.empty
     // A singleton pool can never merge: any consistent program will do.
     if (sorted.size == 1) {
-      val tr   = sorted.head
-      val path = if (tr.rhs.isEmpty) Vector.empty[Label] else Vector[Label](ConstantStr(tr.rhs))
+      val path = fallbackPath(sorted.head.rhs)
       return Vector(ProgGroup(PathCheck.pathKey(path), path, sorted))
     }
 
-    // Overlong transformations get the degenerate ConstantStr(t) pivot up
-    // front: their graphs carry no other labels, so they can only ever group
-    // with an identical rhs — and node ids past 62 would overflow the
-    // bitmask representation below.
+    // Overlong transformations get the fallback pivot up front: their graphs
+    // carry no other labels, so they can only ever group with an identical
+    // rhs — and node ids past 62 would overflow the bitmask below.
+    val maxSideLen = cfg.graph.maxSideLen
     val (searchable, overlong) = sorted.partition(tr =>
-      tr.lhs.length <= cfg.graph.maxSideLen && tr.rhs.length <= cfg.graph.maxSideLen)
+      tr.lhs.length <= maxSideLen && tr.rhs.length <= maxSideLen)
     val overlongGroups = overlong
       .groupBy(_.rhs)
       .iterator.map { case (rhs, ms) =>
-        val path = Vector[Label](ConstantStr(rhs))
+        val path = fallbackPath(rhs)
         ProgGroup(PathCheck.pathKey(path), path, ms)
       }
       .toVector
-    if (searchable.isEmpty) return overlongGroups.sortBy(_.pathKey)
 
     val groupFreq = constTermFreq(searchable.map(_.lhs), cfg.graph.maxConstTermLen)
     val scoreFn   = constScoreFn(groupFreq, globalConstFreq)
@@ -98,57 +106,61 @@ object Pivot {
       GraphBuilder.build(i, tr.lhs, tr.rhs, cfg.graph, scoreFn)
     }
 
-    // Inverted index: label -> graphId -> packed edges ((i << 8) | j).
-    val index = mutable.HashMap.empty[Label, mutable.LongMap[Array[Int]]]
-    for (g <- graphs) {
-      val perGraph = mutable.HashMap.empty[Label, mutable.ArrayBuffer[Int]]
-      for (((i, j), labels) <- g.edges; l <- labels)
-        perGraph.getOrElseUpdate(l, mutable.ArrayBuffer.empty) += ((i << 8) | j)
-      for ((l, edges) <- perGraph)
-        index.getOrElseUpdate(l, mutable.LongMap.empty)(g.id.toLong) = edges.toArray.sorted
-    }
-
-    // Labels with identical postings are interchangeable during the search
-    // (same ℓ trajectory, same scores); exploring every alias only multiplies
-    // the branching factor. Keep one static-order representative per postings
-    // fingerprint and rewrite the graphs' edge label lists accordingly.
-    val repOf: Map[Label, Label] = {
-      val byFp = mutable.HashMap.empty[String, mutable.ArrayBuffer[Label]]
-      for ((l, postings) <- index) {
-        val fp = {
-          val sb = new StringBuilder
-          for (gid <- postings.keys.toArray.sorted) {
-            sb.append(gid).append(':')
-            for (e <- postings(gid)) sb.append(e).append(',')
-            sb.append(';')
-          }
-          sb.toString
-        }
-        byFp.getOrElseUpdate(fp, mutable.ArrayBuffer.empty) += l
+    // Intern each label to a dense id, in one pass over the graphs that also
+    // builds I[f] and each graph's adjacency (per node: targets farthest
+    // first, each edge's label ids in its label order).
+    val idOf    = mutable.HashMap.empty[Label, Int]
+    val labelOf = mutable.ArrayBuffer.empty[Label]
+    val gidsB   = mutable.ArrayBuffer.empty[mutable.ArrayBuilder.ofInt]
+    val edgesB  = mutable.ArrayBuffer.empty[mutable.ArrayBuffer[Array[Int]]]
+    val adjacency = graphs.map { g =>
+      val targets = Array.fill(g.lastNode + 1)(Array.emptyIntArray)
+      val labels  = Array.fill(g.lastNode + 1)(Array.empty[Array[Int]])
+      val idEdges = mutable.ArrayBuilder.make[Long] // (id << 32) | (i << 8) | j
+      for ((i, out) <- g.edges.keys.groupBy(_._1)) {
+        targets(i) = out.map(_._2).toArray.sortBy(-_)
+        labels(i) = targets(i).map(j => g.edges((i, j)).map { l =>
+          val id = idOf.getOrElseUpdate(l, {
+            labelOf += l; gidsB += new mutable.ArrayBuilder.ofInt; edgesB += mutable.ArrayBuffer.empty
+            labelOf.length - 1
+          })
+          idEdges += (id.toLong << 32) | (i << 8) | j
+          id
+        }.toArray)
       }
-      byFp.valuesIterator.flatMap { ls =>
-        val rep = ls.minBy(l => (Label.staticRank(l), l.key))
-        ls.iterator.map(_ -> rep)
-      }.toMap
-    }
-    // Array-form index for the searcher: label -> (sorted gids, edges per gid).
-    val dedupIndex: collection.Map[Label, (Array[Int], Array[Array[Int]])] = {
-      val out = mutable.HashMap.empty[Label, (Array[Int], Array[Array[Int]])]
-      for ((l, postings) <- index; rep = repOf(l); if rep == l) {
-        val gids = postings.keys.toArray.map(_.toInt).sorted
-        out(l) = (gids, gids.map(gid => postings(gid.toLong)))
+      val ps = idEdges.result().sorted
+      var a = 0
+      while (a < ps.length) {
+        val id = (ps(a) >>> 32).toInt
+        var b = a
+        while (b < ps.length && (ps(b) >>> 32).toInt == id) b += 1
+        gidsB(id) += g.id
+        edgesB(id) += ps.slice(a, b).map(_.toInt)
+        a = b
       }
-      out
+      (targets, labels)
     }
-    val dedupGraphs = graphs.map { g =>
-      g.copy(edges = g.edges.view.mapValues(_.map(repOf).distinct).toMap)
+    val postGids  = gidsB.map(_.result()).toArray
+    val postEdges = edgesB.map(_.toArray).toArray
+
+    // Labels with equal postings are aliases: keep the static-order first of
+    // each alias set and expand only it.
+    val repId = new Array[Int](labelOf.length)
+    val aliases = labelOf.indices.groupBy(id =>
+      (ArraySeq.unsafeWrapArray(postGids(id)), postEdges(id).toSeq.map(ArraySeq.unsafeWrapArray(_))))
+    for (ids <- aliases.valuesIterator) {
+      val rep = if (ids.size == 1) ids.head
+                else ids.minBy(id => (Label.staticRank(labelOf(id)), labelOf(id).key))
+      for (id <- ids) repId(id) = rep
     }
+    for ((_, labels) <- adjacency; perNode <- labels; e <- perNode.indices)
+      perNode(e) = perNode(e).map(repId).distinct
 
-    val state    = new SearchState(dedupGraphs, cfg)
-    val searcher = new Searcher(state, dedupIndex, cfg)
-    for (g <- dedupGraphs) searcher.searchGraph(g)
+    val state    = new SearchState(graphs, cfg)
+    val searcher = new Searcher(state, postGids, postEdges, labelOf, cfg)
+    for ((g, (targets, labels)) <- graphs.zip(adjacency)) searcher.searchGraph(g, targets, labels)
 
-    val searchGroups = dedupGraphs.groupBy(g => PathCheck.pathKey(state.bestPath(g.id)))
+    val searchGroups = graphs.groupBy(g => PathCheck.pathKey(state.bestPath(g.id)))
       .iterator
       .map { case (key, gs) =>
         ProgGroup(key, state.bestPath(gs.head.id), gs.map(g => searchable(g.id)))
@@ -169,25 +181,24 @@ object Pivot {
     val n: Int                         = graphs.length
     val lastNode: Array[Int]           = graphs.map(_.lastNode).toArray
     val bestScore: Array[Int]          = Array.fill(n)(0)
-    val bestPath: Array[Vector[Label]] = Array.tabulate(n) { i =>
-      // fallback pivot: the single ConstantStr(t) edge (or the empty program)
-      if (graphs(i).t.isEmpty) Vector.empty[Label]
-      else Vector[Label](ConstantStr(graphs(i).t))
-    }
+    val bestPath: Array[Vector[Label]] = graphs.map(g => fallbackPath(g.t)).toArray
     val sample: Array[Int] =
       if (cfg.sampleCap <= 0 || n <= cfg.sampleCap) Array.range(0, n)
-      else new scala.util.Random(cfg.sampleSeed).shuffle((0 until n).toVector)
+      else new scala.util.Random(SampleSeed).shuffle((0 until n).toVector)
         .take(cfg.sampleCap).sorted.toArray
     val maxScore: Int = math.min(n, sample.length + 1) // sample plus the searched graph
   }
 
   /** FindingPivotPath (Algorithms 2–3) over a pool, sharing the global
     * threshold state across graphs. Flat arrays + merge-join intersections:
-    * the hot recursion must stay JIT-friendly (DESIGN.md §6).
+    * the hot recursion must stay JIT-friendly (DESIGN.md §6). Labels are
+    * interned ids; `postGids(f)`/`postEdges(f)` is I[f].
     */
   private final class Searcher(
       state: SearchState,
-      index: collection.Map[Label, (Array[Int], Array[Array[Int]])],
+      postGids: Array[Array[Int]],
+      postEdges: Array[Array[Array[Int]]],
+      labelOf: collection.IndexedSeq[Label],
       cfg: PivotConfig) {
 
     private val maxDepth = math.max(1, cfg.maxPathLen)
@@ -197,18 +208,18 @@ object Pivot {
     private val bufGids  = Array.ofDim[Int](maxDepth + 1, n)
     private val bufMasks = Array.ofDim[Long](maxDepth + 1, n)
     private val ellSize  = new Array[Int](maxDepth + 1)
-    private val pathBuf  = new Array[Label](maxDepth)
+    private val pathBuf  = new Array[Int](maxDepth)
 
-    private var gId       = 0
     private var gLastNode = 0
-    private var adjTargets: Array[Array[Int]]          = _
-    private var adjLabels: Array[Array[Array[Label]]]  = _
+    private var adjTargets: Array[Array[Int]]        = _
+    private var adjLabels: Array[Array[Array[Int]]]  = _
     private var localBest  = 0
     private var localPath: Vector[Label] = null
     private var ops    = 0L
     private val budget = if (cfg.searchBudget <= 0) Long.MaxValue else cfg.searchBudget
 
-    def searchGraph(g: TGraph): Unit = {
+    /** Search `g` given its adjacency: per node, targets and label ids. */
+    def searchGraph(g: TGraph, targets: Array[Array[Int]], labels: Array[Array[Array[Int]]]): Unit = {
       if (g.t.isEmpty) return
       // The fallback path always covers this graph itself.
       if (state.bestScore(g.id) < 1) state.bestScore(g.id) = 1
@@ -216,21 +227,12 @@ object Pivot {
       // this graph shared by the whole (sampled) pool — nothing can beat it.
       if (cfg.globalThreshold && state.bestScore(g.id) >= state.maxScore) return
 
-      gId = g.id
       gLastNode = g.lastNode
+      adjTargets = targets
+      adjLabels = labels
       localBest = if (cfg.globalThreshold) state.bestScore(g.id) else 1
       localPath = null
       ops = 0L
-
-      // adjacency arrays, farthest target first
-      val nodes = gLastNode + 1
-      adjTargets = Array.fill(nodes)(Array.emptyIntArray)
-      adjLabels  = Array.fill(nodes)(Array.empty[Array[Label]])
-      for ((i, out) <- g.edges.keys.groupBy(_._1)) {
-        val sortedOut = out.toArray.sortBy(-_._2)
-        adjTargets(i) = sortedOut.map(_._2)
-        adjLabels(i)  = sortedOut.map(ij => g.edges(ij).toArray)
-      }
 
       // ℓ₀ = the Appendix-B sample plus this graph itself, node 1 reachable
       var m = 0
@@ -321,55 +323,53 @@ object Pivot {
     private def materialize(depth: Int): Vector[Label] = {
       val b = Vector.newBuilder[Label]
       var k = 0
-      while (k <= depth) { b += pathBuf(k); k += 1 }
+      while (k <= depth) { b += labelOf(pathBuf(k)); k += 1 }
       b.result()
     }
 
     /** ℓ at `depth` ∩ I[f] → ℓ at depth+1 (adjacency-aware, Section 4.2). */
-    private def intersect(depth: Int, f: Label): Int = {
-      index.get(f) match {
-        case None => ellSize(depth + 1) = 0; 0
-        case Some((pGids, pEdges)) =>
-          val inG  = bufGids(depth)
-          val inM  = bufMasks(depth)
-          val m    = ellSize(depth)
-          val outG = bufGids(depth + 1)
-          val outM = bufMasks(depth + 1)
-          var o = 0
+    private def intersect(depth: Int, f: Int): Int = {
+      val pGids  = postGids(f)
+      val pEdges = postEdges(f)
+      val inG    = bufGids(depth)
+      val inM    = bufMasks(depth)
+      val m      = ellSize(depth)
+      val outG   = bufGids(depth + 1)
+      val outM   = bufMasks(depth + 1)
+      var o = 0
 
-          @inline def emit(ga: Int, mask: Long, edges: Array[Int]): Unit = {
-            var acc = 0L
-            var k = 0
-            while (k < edges.length) {
-              val e2 = edges(k)
-              if (((mask >>> (e2 >>> 8)) & 1L) != 0L) acc |= 1L << (e2 & 0xff)
-              k += 1
-            }
-            if (acc != 0L) { outG(o) = ga; outM(o) = acc; o += 1 }
-          }
-
-          if (pGids.length > 8 * m) {
-            // postings much larger than ℓ (TransAgg pools): binary-search
-            // each live graph instead of walking the whole postings array
-            var a = 0
-            while (a < m) {
-              val ga = inG(a)
-              val b  = java.util.Arrays.binarySearch(pGids, ga)
-              if (b >= 0) emit(ga, inM(a), pEdges(b))
-              a += 1
-            }
-          } else {
-            var a = 0; var b = 0
-            while (a < m && b < pGids.length) {
-              val ga = inG(a); val gb = pGids(b)
-              if (ga < gb) a += 1
-              else if (ga > gb) b += 1
-              else { emit(ga, inM(a), pEdges(b)); a += 1; b += 1 }
-            }
-          }
-          ellSize(depth + 1) = o
-          o
+      @inline def emit(ga: Int, mask: Long, edges: Array[Int]): Unit = {
+        var acc = 0L
+        var k = 0
+        while (k < edges.length) {
+          val e2 = edges(k)
+          if (((mask >>> (e2 >>> 8)) & 1L) != 0L) acc |= 1L << (e2 & 0xff)
+          k += 1
+        }
+        if (acc != 0L) { outG(o) = ga; outM(o) = acc; o += 1 }
       }
+
+      if (pGids.length > 8 * m) {
+        // postings much larger than ℓ (TransAgg pools): binary-search
+        // each live graph instead of walking the whole postings array
+        var a = 0
+        while (a < m) {
+          val ga = inG(a)
+          val b  = java.util.Arrays.binarySearch(pGids, ga)
+          if (b >= 0) emit(ga, inM(a), pEdges(b))
+          a += 1
+        }
+      } else {
+        var a = 0; var b = 0
+        while (a < m && b < pGids.length) {
+          val ga = inG(a); val gb = pGids(b)
+          if (ga < gb) a += 1
+          else if (ga > gb) b += 1
+          else { emit(ga, inM(a), pEdges(b)); a += 1; b += 1 }
+        }
+      }
+      ellSize(depth + 1) = o
+      o
     }
   }
 }

@@ -104,7 +104,7 @@ class RulesSpec extends AnyFunSuite {
   test("mergeCatalog merges by key across clusters") {
     val m1 = Rules.clusterRules(1, Seq("9 St", "9th St"), includeFullValue = false)
     val m2 = Rules.clusterRules(2, Seq("9 Ave", "9th Ave"), includeFullValue = false)
-    val merged = Rules.mergeCatalog(Seq(m1, m2))
+    val merged = Rules.mergeCatalog(Seq(m1, m2).flatMap(_.values))
     val r = merged(RuleKey.of("9", "9th"))
     assert(r.occA.map(_.cluster) == Set(1L, 2L))
   }

@@ -88,6 +88,80 @@ class PivotSpec extends AnyFunSuite {
     val gs = group(Seq(Trans("(tm)", ""), Trans("(r)", "")))
     assert(gs.size == 1)
     assert(gs.head.pathKey == "ε")
+    // an lhs over maxSideLen gets no graph, but the same empty program
+    val long = Trans("x" * (cfg.graph.maxSideLen + 1), "")
+    assert(group(Seq(long, Trans("(tm)", ""))).map(g => (g.pathKey, g.members.toSet)) ==
+      Vector(("ε", Set(long, Trans("(tm)", "")))))
+  }
+
+  test("every threshold variant finds a pivot of brute-force maximal score") {
+    // Pools of ≤ 8 transformations with sides of ≤ 8 chars: lhs strings of
+    // one shape (2–3 tokens), most rhs spliced from their tokens by one
+    // recipe, so that members share programs, plus a few unrelated ones.
+    val rnd = new scala.util.Random(11)
+    def pick(s: String): Char = s(rnd.nextInt(s.length))
+    def token(kind: Char): String =
+      if (kind == 'd') Iterator.fill(1 + rnd.nextInt(2))(pick("0123456789")).mkString
+      else pick("ABCD").toString + (if (rnd.nextBoolean()) pick("abcd").toString else "")
+    def pool(): Seq[Trans] = {
+      val shape  = Seq.fill(2 + rnd.nextInt(2))(pick("dC"))
+      val sep    = pick(" .").toString
+      val recipe = Seq.fill(1 + rnd.nextInt(3))(rnd.nextInt(shape.length + 2) - 2)
+      Seq.fill(2 + rnd.nextInt(7)) {
+        val toks = shape.map(token)
+        val rhs  =
+          if (rnd.nextInt(5) == 0) token(pick("dC"))
+          else recipe.map { r =>
+            if (r == -2) "-" else if (r == -1) toks.head.take(1) else toks(r)
+          }.mkString
+        Trans(toks.mkString(sep), rhs)
+      }
+    }
+    val pools = Seq.fill(20)(pool())
+
+    for (pool <- pools; theta <- Seq(3, 4)) {
+      // The graphs exactly as groupByPrograms builds them.
+      val sorted = pool.distinct.sortBy(tr => (tr.lhs, tr.rhs)).toVector
+      val constScore = Pivot.constScoreFn(
+        Pivot.constTermFreq(sorted.map(_.lhs), cfg.graph.maxConstTermLen), Map.empty)
+      val graphs = sorted.zipWithIndex.map { case (tr, i) =>
+        GraphBuilder.build(i, tr.lhs, tr.rhs, cfg.graph, constScore)
+      }
+      val edgesOf = graphs.map(_.edges.toSeq.flatMap { case (ij, ls) => ls.map(_ -> ij) }.groupMap(_._1)(_._2))
+
+      // Nodes of graph k reachable from node 1 along `path`; a graph contains
+      // the path iff its last node is reachable.
+      def reach(k: Int, from: Set[Int], f: Label): Set[Int] =
+        edgesOf(k).getOrElse(f, Nil).collect { case (i, j) if from(i) => j }.toSet
+      def score(path: Seq[Label]): Int = graphs.indices.count { k =>
+        path.foldLeft(Set(1))(reach(k, _, _)).contains(graphs(k).lastNode)
+      }
+      // Every label path of length ≤ θ through graph g, each scored by the
+      // pool graphs containing it (reachable sets carried along the prefix).
+      def bruteBest(g: TGraph): Int = {
+        var best = 0
+        def dfs(node: Int, depth: Int, live: Vector[(Int, Set[Int])]): Unit =
+          for (((i, j), ls) <- g.edges if i == node; f <- ls) {
+            val next = live.map { case (k, r) => (k, reach(k, r, f)) }.filter(_._2.nonEmpty)
+            if (j == g.lastNode) best = math.max(best, next.count { case (k, r) => r(graphs(k).lastNode) })
+            else if (depth + 1 < theta) dfs(j, depth + 1, next)
+          }
+        dfs(1, 0, graphs.indices.map(k => (k, Set(1))).toVector)
+        best
+      }
+      val best = graphs.map(bruteBest)
+
+      for (local <- Seq(false, true); global <- Seq(false, true)) {
+        val c = cfg.copy(maxPathLen = theta, localThreshold = local, globalThreshold = global,
+                         sampleCap = 0, searchBudget = 0)
+        for (g <- group(sorted, c); m <- g.members) {
+          val k = sorted.indexOf(m)
+          val variant = s"θ=$theta local=$local global=$global ${g.pathKey} for $m in $sorted"
+          assert(g.path.foldLeft(Set(1))(reach(k, _, _)).contains(graphs(k).lastNode), variant)
+          assert(score(g.path) == best(k), variant)
+        }
+      }
+    }
   }
 
   test("empty pool") {
